@@ -4,7 +4,7 @@
 // they measure. Each snapshot pairs the raw benchmark numbers with an
 // obs reading of the route-memo hit rate over a quick-config evaluation
 // pass: the two costs the engine trades off — wall clock per driver and
-// cache effectiveness — land in one artifact.
+// route-table effectiveness — land in one artifact.
 //
 // Usage:
 //
@@ -58,19 +58,19 @@ type benchResult struct {
 }
 
 type memoSnapshot struct {
-	Hits      int64   `json:"hits"`
-	Misses    int64   `json:"misses"`
-	Evictions int64   `json:"evictions"`
-	HitRate   float64 `json:"hit_rate"`
+	Hits    int64   `json:"hits"`
+	Misses  int64   `json:"misses"`
+	HitRate float64 `json:"hit_rate"`
 }
 
 type snapshot struct {
 	GoVersion  string            `json:"go_version"`
 	Context    map[string]string `json:"context,omitempty"`
 	Benchmarks []benchResult     `json:"benchmarks"`
-	// Memo is the obs-observed route-cache behaviour of one quick-config
-	// Fig8 + Fig11b pass, the same drivers the Sequential/Parallel
-	// benchmark pairs measure.
+	// Memo is the obs-observed route-table behaviour of one quick-config
+	// Fig11b pass, the content driver the Sequential/Parallel benchmark
+	// pairs measure (the device drivers look routes up in the FIB
+	// directly).
 	Memo memoSnapshot `json:"memo"`
 }
 
@@ -169,15 +169,10 @@ func measureMemo() (memoSnapshot, error) {
 	if err != nil {
 		return memoSnapshot{}, fmt.Errorf("build quick world: %w", err)
 	}
-	expt.RunFig8(w)
 	expt.RunFig11bc(w, cdn.Popular)
 	hits := cfg.Obs.Memo.Hits.Value()
 	misses := cfg.Obs.Memo.Misses.Value()
-	snap := memoSnapshot{
-		Hits:      hits,
-		Misses:    misses,
-		Evictions: cfg.Obs.Memo.Evictions.Value(),
-	}
+	snap := memoSnapshot{Hits: hits, Misses: misses}
 	if total := hits + misses; total > 0 {
 		snap.HitRate = float64(hits) / float64(total)
 	}

@@ -1,53 +1,29 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"locind/internal/bgp"
 	"locind/internal/netaddr"
 	"locind/internal/obs"
 )
 
-// memoStripes fixes the stripe count. 64 stripes keep the worst-case
-// contention at 1/64th of a single lock even on machines far wider than the
-// fan-out internal/par produces, while the whole lock table still fits in a
-// few cache lines of metadata.
-const memoStripes = 64
-
-// memoStripe is one lock-striped shard of the cache: an ordinary Go map
-// under an RWMutex. Plain maps store memoEntry values inline, so the hot
-// hit path is a read-lock plus one map probe with no interface boxing —
-// the sync.Map formulation this replaces allocated an interface header per
-// store and funneled every insert through one shared dirty map, which is
-// exactly the contention the flat Fig11b parallel curve measured. The pad
-// keeps adjacent stripes' mutexes off one another's cache lines.
-type memoStripe struct {
-	mu sync.RWMutex
-	m  map[netaddr.Addr]memoEntry
-	_  [24]byte
-}
-
-// Memo wraps a RouteLookup with a per-router addr → route cache. The
-// evaluation replays the same address sets against the same FIB millions of
-// times (every timeline event re-resolves its before/after sets), and the
-// underlying LPM lookup is pure, so the first resolution of each address can
-// serve all later ones — the same move as the Loc/ID mapping caches the
-// literature analyzes for resolution-based architectures.
+// Memo is a read-only addr → route table over a RouteLookup. The
+// evaluation replays a fixed, known address set against FIBs that never
+// change during a run, so instead of caching lazily the caller hands the
+// whole set to NewMemo, every address is resolved exactly once up front,
+// and the table is never written again. That is the offline counterpart of
+// the Loc/ID mapping caches the literature analyzes: a live router caches
+// because it cannot enumerate its address space; an evaluation can.
 //
-// Memo is safe for concurrent use; parallel workers sharing one router
-// simply share its cache. A racing pair of first lookups both consult the
-// underlying table and store the same value, so results never depend on
-// scheduling. Because the lookup is pure, neither does eviction: a capped
-// memo recomputes what it dropped and returns identical answers.
+// Because the table is immutable after construction, any number of
+// goroutines may read one Memo with no lock or atomic. An address outside
+// the table falls through to the underlying lookup without being stored;
+// the lookup is pure, so the answer is identical either way.
 type Memo struct {
-	r       RouteLookup
-	stripes [memoStripes]memoStripe
-	limit   int64        // approximate entry cap; 0 = unbounded
-	size    atomic.Int64 // entries stored across all stripes
+	r     RouteLookup
+	table map[netaddr.Addr]memoEntry
 
 	// nil-safe obs handles; unobserved memos pay one predictable branch.
-	hits, misses, evictions *obs.Counter
+	hits, misses *obs.Counter
 }
 
 type memoEntry struct {
@@ -55,49 +31,47 @@ type memoEntry struct {
 	ok bool
 }
 
-// MemoMetrics aggregates cache behaviour across every memo sharing it.
+// MemoMetrics aggregates table behaviour across every memo sharing it.
 type MemoMetrics struct {
-	Hits      *obs.Counter
-	Misses    *obs.Counter
-	Evictions *obs.Counter
+	Hits   *obs.Counter
+	Misses *obs.Counter
 }
 
 // NewMemoMetrics registers the memo counter families on reg. A nil
 // registry yields all-nil handles.
 func NewMemoMetrics(reg *obs.Registry) *MemoMetrics {
 	return &MemoMetrics{
-		Hits:      reg.Counter("locind_memo_hits_total", "route memo cache hits"),
-		Misses:    reg.Counter("locind_memo_misses_total", "route memo cache misses"),
-		Evictions: reg.Counter("locind_memo_evictions_total", "route memo entries dropped by epoch flushes"),
+		Hits:   reg.Counter("locind_memo_hits_total", "route lookups served from a memo table"),
+		Misses: reg.Counter("locind_memo_misses_total", "route lookups resolved against the FIB (table builds and fall-throughs)"),
 	}
 }
 
-// NewMemo wraps r in a fresh unbounded, unobserved cache.
-func NewMemo(r RouteLookup) *Memo { return NewMemoObserved(r, 0, nil) }
+// NewMemo resolves every address in addrs against r once and serves later
+// lookups from the resulting table. With no addresses every lookup falls
+// through to r.
+func NewMemo(r RouteLookup, addrs ...netaddr.Addr) *Memo {
+	return NewMemoObserved(r, nil, addrs...)
+}
 
-// NewMemoObserved wraps r with an approximate entry cap and obs counters.
-// A limit of 0 means unbounded; when the cap is crossed the stripe that
-// received the overflowing insert is flushed in one map swap (O(1) beyond
-// the garbage it frees, no per-entry bookkeeping) and the dropped entries
-// are counted as evictions. ms may be nil.
-func NewMemoObserved(r RouteLookup, limit int, ms *MemoMetrics) *Memo {
-	m := &Memo{r: r, limit: int64(limit)}
+// NewMemoObserved is NewMemo with obs counters: each distinct address in
+// the table, and each fall-through, counts as a miss; each lookup served
+// from the table counts as a hit. ms may be nil.
+func NewMemoObserved(r RouteLookup, ms *MemoMetrics, addrs ...netaddr.Addr) *Memo {
+	m := &Memo{r: r, table: make(map[netaddr.Addr]memoEntry, len(addrs))}
 	if ms != nil {
-		m.hits, m.misses, m.evictions = ms.Hits, ms.Misses, ms.Evictions
+		m.hits, m.misses = ms.Hits, ms.Misses
 	}
+	for _, a := range addrs {
+		rt, ok := r.RouteFor(a)
+		m.table[a] = memoEntry{rt: rt, ok: ok}
+	}
+	m.misses.Add(int64(len(m.table)))
 	return m
 }
 
-// stripeOf maps an address onto its stripe with a Fibonacci hash: addresses
-// are dense structured integers (AS index × host counter), so taking raw
-// low bits would pile whole prefixes onto one stripe.
-func (m *Memo) stripeOf(a netaddr.Addr) *memoStripe {
-	return &m.stripes[(uint64(a)*0x9E3779B97F4A7C15)>>(64-6)]
-}
-
-// Port returns the memoized output port (next-hop AS) for a.
+// Port returns the output port (next-hop AS) for a.
 //
-//lint:zeroalloc per hit once the stripe's entry map is warm
+//lint:zeroalloc per lookup; the table is read-only after NewMemo
 func (m *Memo) Port(a netaddr.Addr) (int, bool) {
 	rt, ok := m.RouteFor(a)
 	if !ok {
@@ -106,46 +80,15 @@ func (m *Memo) Port(a netaddr.Addr) (int, bool) {
 	return rt.NextHop, true
 }
 
-// RouteFor returns the memoized selected route for a.
+// RouteFor returns the selected route for a, from the table when a is in
+// it and from the underlying lookup otherwise.
 //
-//lint:zeroalloc per hit once the stripe's entry map is warm
+//lint:zeroalloc per lookup; the table is read-only after NewMemo
 func (m *Memo) RouteFor(a netaddr.Addr) (bgp.Route, bool) {
-	s := m.stripeOf(a)
-	s.mu.RLock()
-	ent, hit := s.m[a]
-	s.mu.RUnlock()
-	if hit {
+	if ent, hit := m.table[a]; hit {
 		m.hits.Inc()
 		return ent.rt, ent.ok
 	}
 	m.misses.Inc()
-	rt, ok := m.r.RouteFor(a)
-	s.mu.Lock()
-	if _, raced := s.m[a]; !raced {
-		if s.m == nil {
-			s.m = make(map[netaddr.Addr]memoEntry)
-		}
-		s.m[a] = memoEntry{rt: rt, ok: ok}
-		if m.limit > 0 {
-			m.size.Add(1)
-		}
-	}
-	s.mu.Unlock()
-	if m.limit > 0 && m.size.Load() > m.limit {
-		// Epoch flush of the overflowing stripe: drop its map wholesale.
-		// Concurrent lookups racing into the flushed stripe simply miss —
-		// the underlying lookup is pure, so nothing observable changes;
-		// the cap and the eviction count are approximate by design. The
-		// global size counter (rather than a per-stripe one) is what makes
-		// tiny caps behave: a cap of 4 must evict even when the working
-		// set happens to spread across many stripes.
-		s.mu.Lock()
-		if n := int64(len(s.m)); n > 0 {
-			s.m = nil
-			m.size.Add(-n)
-			m.evictions.Add(n)
-		}
-		s.mu.Unlock()
-	}
-	return rt, ok
+	return m.r.RouteFor(a)
 }

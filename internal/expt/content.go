@@ -3,6 +3,7 @@ package expt
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -10,6 +11,7 @@ import (
 	"locind/internal/bgp"
 	"locind/internal/cdn"
 	"locind/internal/core"
+	"locind/internal/netaddr"
 	"locind/internal/par"
 	"locind/internal/stats"
 )
@@ -85,13 +87,9 @@ func (p *collectorProgress) shardDone(ci int) {
 	}
 }
 
-// RunFig11bc computes Figure 11(b) or 11(c) depending on class. The work
-// fans out over (collector × timeline-shard) pairs: every collector shares
-// one striped route Memo across its shards and replays each shard's
-// timelines in a single fused walk that evaluates both strategies at once.
-// Shards are oversubscribed (par.ShardsFor) because timeline weight is
-// heavy-tailed. Per-shard partial counts are integer totals summed in shard
-// order, so the figure is bit-identical at every parallelism degree.
+// RunFig11bc computes Figure 11(b) or 11(c) depending on class, from one
+// fused replay of the class's timelines per RouteViews collector (see
+// collectorStrategyStats).
 func RunFig11bc(w *World, class cdn.Class) Fig11bcResult {
 	popular, unpopular := w.TimelinesByClass()
 	tls := popular
@@ -99,27 +97,12 @@ func RunFig11bc(w *World, class cdn.Class) Fig11bcResult {
 		tls = unpopular
 	}
 	cols := w.RouteViews
-	shards := par.ShardsFor(len(tls), w.Cfg.Parallel)
-	memos := make([]*core.Memo, len(cols))
-	for i, c := range cols {
-		memos[i] = w.Cfg.memo(c.FIB)
-	}
-	prog := newCollectorProgress(len(cols), len(shards), w.Cfg.Obs.collectorDone)
-	partial := make([]core.StrategyStats, len(cols)*len(shards))
-	par.ForEach(w.Cfg.Parallel, len(partial), func(t int) {
-		ci, si := t/len(shards), t%len(shards)
-		sh := shards[si]
-		partial[t] = core.ContentUpdateStatsAllFused(memos[ci], tls[sh[0]:sh[1]])
-		prog.shardDone(ci)
-	})
+	sets := collectorStrategyStats(w, tls)
 	res := Fig11bcResult{Class: class}
 	res.BestPort = make([]RouterRate, len(cols))
 	res.Flooding = make([]RouterRate, len(cols))
 	for ci, c := range cols {
-		var tot core.StrategyStats
-		for si := 0; si < len(shards); si++ {
-			tot.Add(partial[ci*len(shards)+si])
-		}
+		tot := sets[ci]
 		// Every collector replays the same timelines, so the event totals
 		// must agree; a mismatch means a sharding bug lost or double-counted
 		// events, which must not be papered over by keeping the last count.
@@ -138,6 +121,55 @@ func RunFig11bc(w *World, class cdn.Class) Fig11bcResult {
 	}
 	w.Cfg.Obs.rows(len(res.BestPort) + len(res.Flooding))
 	return res
+}
+
+// collectorStrategyStats replays tls at every RouteViews collector and
+// returns each collector's fused strategy totals, in collector order. The
+// timelines' distinct address set is resolved once per collector into a
+// read-only core.Memo table before the fan-out, so shards share it with no
+// lock. The work fans out over (collector × timeline-shard) pairs —
+// collectors alone are too few and too unequal to keep a pool busy, and
+// shards are oversubscribed (par.ShardsFor) because timeline weight is
+// heavy-tailed. Per-shard partials are integer totals summed in shard
+// order (union state is per timeline, never crossing a shard boundary), so
+// the totals are bit-identical at every parallelism degree.
+func collectorStrategyStats(w *World, tls []cdn.Timeline) []core.StrategyStats {
+	cols := w.RouteViews
+	addrs := distinctAddrs(tls)
+	memos := par.Map(w.Cfg.Parallel, len(cols), func(i int) *core.Memo {
+		return core.NewMemoObserved(cols[i].FIB, w.Cfg.Obs.memo(), addrs...)
+	})
+	shards := par.ShardsFor(len(tls), w.Cfg.Parallel)
+	prog := newCollectorProgress(len(cols), len(shards), w.Cfg.Obs.collectorDone)
+	partial := make([]core.StrategyStats, len(cols)*len(shards))
+	par.ForEach(w.Cfg.Parallel, len(partial), func(t int) {
+		ci, si := t/len(shards), t%len(shards)
+		sh := shards[si]
+		partial[t] = core.ContentUpdateStatsAllFused(memos[ci], tls[sh[0]:sh[1]])
+		prog.shardDone(ci)
+	})
+	sets := make([]core.StrategyStats, len(cols))
+	for ci := range cols {
+		for si := range shards {
+			sets[ci].Add(partial[ci*len(shards)+si])
+		}
+	}
+	return sets
+}
+
+// distinctAddrs returns every address the timelines ever hold, sorted and
+// compacted. A live set only gains addresses through Initial and each
+// event's Added, so no walk is needed.
+func distinctAddrs(tls []cdn.Timeline) []netaddr.Addr {
+	var addrs []netaddr.Addr
+	for i := range tls {
+		addrs = append(addrs, tls[i].Initial...)
+		for j := range tls[i].Events {
+			addrs = append(addrs, tls[i].Events[j].Added...)
+		}
+	}
+	slices.Sort(addrs)
+	return slices.Compact(addrs)
 }
 
 func maxRate(rs []RouterRate) float64 {
@@ -247,36 +279,13 @@ type AblationResult struct {
 
 // RunStrategyAblation evaluates all three strategies at the most-impacted
 // RouteViews collector (highest controlled-flooding rate, first on ties).
-// One fused walk per collector yields all three strategy totals at once, so
-// finding the argmax no longer triggers repeated BestPort/UnionFlooding
-// replays every time a new flooding maximum appears. Like RunFig11bc the
-// fan-out is (collector × timeline-shard) — collectors alone are too few
-// and too unequal to keep a pool busy — and the per-collector reduction
-// sums integer partials in shard order, so the result is bit-identical at
-// every parallelism degree (union state is per timeline, never crossing a
-// shard boundary).
+// One fused walk per collector yields all three strategy totals at once
+// (collectorStrategyStats, the same fan-out as RunFig11bc), so finding the
+// argmax never replays a strategy on its own.
 func RunStrategyAblation(w *World) AblationResult {
 	popular, _ := w.TimelinesByClass()
 	cols := w.RouteViews
-	shards := par.ShardsFor(len(popular), w.Cfg.Parallel)
-	memos := make([]*core.Memo, len(cols))
-	for i, c := range cols {
-		memos[i] = w.Cfg.memo(c.FIB)
-	}
-	prog := newCollectorProgress(len(cols), len(shards), w.Cfg.Obs.collectorDone)
-	partial := make([]core.StrategyStats, len(cols)*len(shards))
-	par.ForEach(w.Cfg.Parallel, len(partial), func(t int) {
-		ci, si := t/len(shards), t%len(shards)
-		sh := shards[si]
-		partial[t] = core.ContentUpdateStatsAllFused(memos[ci], popular[sh[0]:sh[1]])
-		prog.shardDone(ci)
-	})
-	sets := make([]core.StrategyStats, len(cols))
-	for ci := range cols {
-		for si := 0; si < len(shards); si++ {
-			sets[ci].Add(partial[ci*len(shards)+si])
-		}
-	}
+	sets := collectorStrategyStats(w, popular)
 	best := -1
 	for i := range sets {
 		if best < 0 || sets[i].Flooding.Rate() > sets[best].Flooding.Rate() {
@@ -331,7 +340,7 @@ func RunSessionSweep(w *World, counts []int) (SessionSweepResult, error) {
 		if err != nil {
 			return point{err: err}
 		}
-		return point{rate: core.DeviceUpdateStats(w.Cfg.memo(col.FIB), events).Rate()}
+		return point{rate: core.DeviceUpdateStats(col.FIB, events).Rate()}
 	})
 	var res SessionSweepResult
 	for i, p := range pts {

@@ -118,15 +118,15 @@ type Fig8Result struct {
 	Events  int
 }
 
-// RunFig8 computes Figure 8 over the RouteViews collectors, one memoized
-// collector per worker; results land in collector order regardless of
+// RunFig8 computes Figure 8 over the RouteViews collectors, one collector
+// per worker, looking routes up in each FIB directly; results land in collector order regardless of
 // scheduling.
 func RunFig8(w *World) Fig8Result {
 	events := w.Devices.MoveEvents()
 	res := Fig8Result{Events: len(events)}
 	res.Routers = par.Map(w.Cfg.Parallel, len(w.RouteViews), func(i int) RouterRate {
 		c := w.RouteViews[i]
-		s := core.DeviceUpdateStats(w.Cfg.memo(c.FIB), events)
+		s := core.DeviceUpdateStats(c.FIB, events)
 		w.Cfg.Obs.collectorDone()
 		return RouterRate{
 			Name:          c.Name,
@@ -211,10 +211,10 @@ func RunSensitivity(w *World) (SensitivityResult, error) {
 	sort.Ints(days)
 	stdDevs := par.Map(w.Cfg.Parallel, len(w.RouteViews), func(i int) float64 {
 		defer w.Cfg.Obs.collectorDone()
-		memo := w.Cfg.memo(w.RouteViews[i].FIB)
+		fib := w.RouteViews[i].FIB
 		var rates []float64
 		for _, d := range days {
-			rates = append(rates, core.DeviceUpdateStats(memo, byDay[d]).Rate())
+			rates = append(rates, core.DeviceUpdateStats(fib, byDay[d]).Rate())
 		}
 		return stats.StdDev(rates)
 	})
@@ -228,7 +228,7 @@ func RunSensitivity(w *World) (SensitivityResult, error) {
 	// (2) The RIPE collector set.
 	ripeRates := par.Map(w.Cfg.Parallel, len(w.RIPE), func(i int) float64 {
 		defer w.Cfg.Obs.collectorDone()
-		return core.DeviceUpdateStats(w.Cfg.memo(w.RIPE[i].FIB), events).Rate()
+		return core.DeviceUpdateStats(w.RIPE[i].FIB, events).Rate()
 	})
 	ripeCDF := stats.NewCDF(ripeRates)
 	res.RIPEMedian = ripeCDF.Median()
@@ -251,10 +251,10 @@ func RunSensitivity(w *World) (SensitivityResult, error) {
 	type ratePair struct{ nomad, imap float64 }
 	pairs := par.Map(w.Cfg.Parallel, len(all), func(i int) ratePair {
 		defer w.Cfg.Obs.collectorDone()
-		memo := w.Cfg.memo(all[i].FIB)
+		fib := all[i].FIB
 		return ratePair{
-			nomad: core.DeviceUpdateStats(memo, events).Rate(),
-			imap:  core.DeviceUpdateStats(memo, imapEvents).Rate(),
+			nomad: core.DeviceUpdateStats(fib, events).Rate(),
+			imap:  core.DeviceUpdateStats(fib, imapEvents).Rate(),
 		}
 	})
 	nomadRates := make([]float64, len(pairs))

@@ -16,7 +16,7 @@ type Metrics struct {
 	CollectorsDone *obs.Counter
 	// Rows counts result rows produced (scrape deltas give rows/sec).
 	Rows *obs.Counter
-	// Memo aggregates route-cache behaviour across every driver memo.
+	// Memo aggregates route-table behaviour across every content-driver memo.
 	Memo *core.MemoMetrics
 }
 
@@ -42,10 +42,10 @@ func (m *Metrics) rows(n int) {
 	}
 }
 
-// memo builds a driver route cache, observed when metrics are attached.
-func (c Config) memo(r core.RouteLookup) *core.Memo {
-	if c.Obs == nil {
-		return core.NewMemo(r)
+// memo returns the memo counters, nil when metrics are detached.
+func (m *Metrics) memo() *core.MemoMetrics {
+	if m == nil {
+		return nil
 	}
-	return core.NewMemoObserved(r, 0, c.Obs.Memo)
+	return m.Memo
 }

@@ -10,9 +10,9 @@ import (
 // Allocflow statically polices the //lint:zeroalloc annotation: an
 // annotated function — and everything it statically calls within the
 // module — must be free of idioms that allocate on every execution of the
-// steady-state path. The PR that drove Timeline.Walk, the fused strategy
-// scratch, and the striped core.Memo to 0 allocs/event pinned those wins
-// with hand-written AllocsPerRun tests; this analyzer is the
+// steady-state path. Timeline.Walk, the fused strategy scratch, and the
+// core.Memo table lookup run at 0 allocs/event, pinned by generated
+// AllocsPerRun tests (cmd/allocguard); this analyzer is the
 // compiler-adjacent half of the same contract, so a regression is caught at
 // lint time with a file:line, not as an opaque bench delta.
 //

@@ -21,8 +21,8 @@
 //	allocflow    always-allocating idioms inside //lint:zeroalloc-annotated
 //	             hot paths and everything they statically call in the module
 //	             (the Timeline.Walk / fused-scratch / Memo zero-alloc class)
-//	lockflow     mutexes copied by value, locks held across blocking
-//	             operations, and inconsistent lock acquisition order
+//	lockflow     locks held across blocking operations and inconsistent
+//	             lock acquisition order
 //	atomicflow   fields accessed through sync/atomic somewhere must be
 //	             accessed atomically everywhere
 //
