@@ -180,6 +180,10 @@ func runSoak(ctx context.Context, cfg engine.SoakConfig, reg *obs.Registry, obsA
 	return err
 }
 
+// backendReadHeaderTimeout bounds how long a client may take to send its
+// request headers, so a stalled connection cannot pin a backend goroutine.
+const backendReadHeaderTimeout = 10 * time.Second
+
 // runAgents is the original agent-fleet demonstration.
 func runAgents(ctx context.Context, addr string, users, days int, seed int64, obsAddr string, reg *obs.Registry) error {
 	// Substrate: a small internetwork and address plan for the fleet.
@@ -243,7 +247,8 @@ func runAgents(ctx context.Context, addr string, users, days int, seed int64, ob
 		return err
 	}
 	defer ln.Close()
-	go http.Serve(ln, srv) //nolint:errcheck // server dies with the process
+	hs := &http.Server{Handler: srv, ReadHeaderTimeout: backendReadHeaderTimeout}
+	go hs.Serve(ln) //nolint:errcheck // server dies with the process
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("nomadd: backend listening on %s\n", base)
 

@@ -192,6 +192,21 @@ func (f *FIB) Port(a netaddr.Addr) (int, bool) {
 	return rt.NextHop, true
 }
 
+// PortsSorted writes the output port of each address of the ascending
+// slice addrs into ports[i], or −1 where no prefix matches, resolving the
+// whole batch in one trie walk. ports must be as long as addrs.
+func (f *FIB) PortsSorted(addrs []netaddr.Addr, ports []int32) {
+	f.trie.LookupSorted(addrs, func(lo, hi int, rt Route, ok bool) {
+		p := int32(-1)
+		if ok {
+			p = int32(rt.NextHop)
+		}
+		for i := lo; i < hi; i++ {
+			ports[i] = p
+		}
+	})
+}
+
 // RouteFor returns the selected route whose prefix is the longest match for
 // address a.
 func (f *FIB) RouteFor(a netaddr.Addr) (Route, bool) {

@@ -36,8 +36,8 @@ func guardRouter() RouteLookup {
 // allocGuardHarness maps each //lint:zeroalloc symbol in this package to
 // its measurement, consumed by the generated TestAllocGuard. The fused
 // replays allocate fixed per-call scratch, so their measurements are
-// differential (large minus small workload); a Memo table lookup must be
-// absolutely allocation-free.
+// differential (large minus small workload); a Memo table lookup and the
+// move-set counting loop must be absolutely allocation-free.
 func allocGuardHarness() map[string]func(t *testing.T) float64 {
 	return map[string]func(t *testing.T) float64{
 		"ContentUpdateStatsFused": func(t *testing.T) float64 {
@@ -70,6 +70,15 @@ func allocGuardHarness() map[string]func(t *testing.T) float64 {
 				})
 			}
 			return poolAllocs(large) - poolAllocs(small)
+		},
+		"CountMoves": func(t *testing.T) float64 {
+			ports := []int32{3, 5, -1, 5}
+			moves := [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {1, 3}}
+			return testing.AllocsPerRun(100, func() {
+				if s := CountMoves(ports, moves); s.Updates != 2 {
+					t.Fatalf("counted %d updates, want 2", s.Updates)
+				}
+			})
 		},
 		"Memo.Port": func(t *testing.T) float64 {
 			addrs := []netaddr.Addr{10, 20, 1000, 2000, 3000}

@@ -93,8 +93,9 @@ func EvaluateDeviceArchitecture(
 		// Expected updates per event across the evaluated routers is the
 		// sum of per-router update rates.
 		sum := 0.0
+		moves := NewMoveSet(events)
 		for _, c := range collectors {
-			rate := DeviceUpdateStats(c.FIB, events).Rate()
+			rate := moves.Stats(c.FIB).Rate()
 			out.RouterUpdateRate[c.Name] = rate
 			sum += rate
 		}

@@ -67,7 +67,9 @@ func (s *UpdateStats) Add(o UpdateStats) {
 
 // DeviceUpdateStats measures the fraction of device mobility events that
 // induce a forwarding update at router r — the quantity plotted per
-// collector in Figure 8.
+// collector in Figure 8. It looks both addresses up per event, so it also
+// serves routers that change while events are evaluated; for fixed FIBs a
+// MoveSet gives the same counts resolving each distinct address once.
 func DeviceUpdateStats(r PortLookup, events []mobility.MoveEvent) UpdateStats {
 	var s UpdateStats
 	for _, e := range events {

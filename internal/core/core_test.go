@@ -86,10 +86,26 @@ func TestDeviceUpdateStats(t *testing.T) {
 		mk("20.0.0.1", "10.0.0.2"), // update
 		mk("10.0.0.2", "30.0.0.1"), // port 1 -> 1: no update
 		mk("10.0.0.2", "10.0.9.9"), // same prefix: no update
+		mk("40.0.0.1", "20.0.0.1"), // unrouted source: no update
+		mk("20.0.0.1", "40.0.0.1"), // unrouted destination: no update
 	}
-	s := DeviceUpdateStats(r, evs)
-	if s.Events != 4 || s.Updates != 2 {
-		t.Fatalf("stats = %+v", s)
+	want := UpdateStats{Events: 6, Updates: 2}
+	if s := DeviceUpdateStats(r, evs); s != want {
+		t.Fatalf("per-event stats = %+v, want %+v", s, want)
+	}
+	// The interned path must agree, its −1 "no route" sentinel never
+	// counting as a port.
+	ms := NewMoveSet(evs)
+	if len(ms.Addrs) != 6 || len(ms.Moves) != len(evs) {
+		t.Fatalf("move set holds %d addrs, %d moves; want 6, %d", len(ms.Addrs), len(ms.Moves), len(evs))
+	}
+	for i, e := range evs {
+		if m := ms.Moves[i]; ms.Addrs[m[0]] != e.From.Addr || ms.Addrs[m[1]] != e.To.Addr {
+			t.Fatalf("move %d interned as %v -> %v, want %v -> %v", i, ms.Addrs[m[0]], ms.Addrs[m[1]], e.From.Addr, e.To.Addr)
+		}
+	}
+	if s := ms.Stats(r); s != want {
+		t.Fatalf("move-set stats = %+v, want %+v", s, want)
 	}
 }
 

@@ -328,9 +328,10 @@ type SessionSweepResult struct {
 // RunSessionSweep rebuilds one synthetic collector at increasing session
 // counts and measures its device update rate. Each count derives its own RNG
 // from the master seed, so the sweep points are independent and evaluated in
-// parallel without perturbing each other.
+// parallel without perturbing each other; all points share one interned
+// move set.
 func RunSessionSweep(w *World, counts []int) (SessionSweepResult, error) {
-	events := w.Devices.MoveEvents()
+	moves := core.NewMoveSet(w.Devices.MoveEvents())
 	type point struct {
 		rate float64
 		err  error
@@ -340,7 +341,7 @@ func RunSessionSweep(w *World, counts []int) (SessionSweepResult, error) {
 		if err != nil {
 			return point{err: err}
 		}
-		return point{rate: core.DeviceUpdateStats(col.FIB, events).Rate()}
+		return point{rate: moves.Stats(col.FIB).Rate()}
 	})
 	var res SessionSweepResult
 	for i, p := range pts {

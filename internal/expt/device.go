@@ -119,14 +119,15 @@ type Fig8Result struct {
 }
 
 // RunFig8 computes Figure 8 over the RouteViews collectors, one collector
-// per worker, looking routes up in each FIB directly; results land in collector order regardless of
-// scheduling.
+// per worker. The move events are interned once before the fan-out and
+// each collector resolves their distinct addresses in one batched walk of
+// its FIB; results land in collector order regardless of scheduling.
 func RunFig8(w *World) Fig8Result {
-	events := w.Devices.MoveEvents()
-	res := Fig8Result{Events: len(events)}
+	moves := core.NewMoveSet(w.Devices.MoveEvents())
+	res := Fig8Result{Events: len(moves.Moves)}
 	res.Routers = par.Map(w.Cfg.Parallel, len(w.RouteViews), func(i int) RouterRate {
 		c := w.RouteViews[i]
-		s := core.DeviceUpdateStats(c.FIB, events)
+		s := moves.Stats(c.FIB)
 		w.Cfg.Obs.collectorDone()
 		return RouterRate{
 			Name:          c.Name,
@@ -192,17 +193,21 @@ type SensitivityResult struct {
 
 // RunSensitivity computes the §6.2.2 sensitivity analysis. Each stage fans
 // out over its collector set; per-collector rates are assembled in collector
-// order so the readout is identical at every parallelism degree. A degenerate
-// workload (zero-variance or mismatched rate vectors) is reported as an
-// error, never rendered as a fake "correlation 0.00".
+// order so the readout is identical at every parallelism degree. Both event
+// lists are interned once up front, and every collector resolves a list's
+// addresses in one batched walk per stage. A degenerate workload
+// (zero-variance or mismatched rate vectors) is reported as an error, never
+// rendered as a fake "correlation 0.00".
 func RunSensitivity(w *World) (SensitivityResult, error) {
 	res := SensitivityResult{PerDayStdDev: map[string]float64{}}
 	events := w.Devices.MoveEvents()
+	moves := core.NewMoveSet(events)
 
-	// (1) Day-to-day stability at each RouteViews collector.
-	byDay := map[int][]mobility.MoveEvent{}
-	for _, e := range events {
-		byDay[e.Day] = append(byDay[e.Day], e)
+	// (1) Day-to-day stability at each RouteViews collector: the moves
+	// grouped by day share one resolved port table per collector.
+	byDay := map[int][][2]int32{}
+	for i, e := range events {
+		byDay[e.Day] = append(byDay[e.Day], moves.Moves[i])
 	}
 	days := make([]int, 0, len(byDay))
 	for d := range byDay {
@@ -211,10 +216,10 @@ func RunSensitivity(w *World) (SensitivityResult, error) {
 	sort.Ints(days)
 	stdDevs := par.Map(w.Cfg.Parallel, len(w.RouteViews), func(i int) float64 {
 		defer w.Cfg.Obs.collectorDone()
-		fib := w.RouteViews[i].FIB
+		ports := moves.Ports(w.RouteViews[i].FIB)
 		var rates []float64
 		for _, d := range days {
-			rates = append(rates, core.DeviceUpdateStats(fib, byDay[d]).Rate())
+			rates = append(rates, core.CountMoves(ports, byDay[d]).Rate())
 		}
 		return stats.StdDev(rates)
 	})
@@ -228,7 +233,7 @@ func RunSensitivity(w *World) (SensitivityResult, error) {
 	// (2) The RIPE collector set.
 	ripeRates := par.Map(w.Cfg.Parallel, len(w.RIPE), func(i int) float64 {
 		defer w.Cfg.Obs.collectorDone()
-		return core.DeviceUpdateStats(w.RIPE[i].FIB, events).Rate()
+		return moves.Stats(w.RIPE[i].FIB).Rate()
 	})
 	ripeCDF := stats.NewCDF(ripeRates)
 	res.RIPEMedian = ripeCDF.Median()
@@ -237,15 +242,12 @@ func RunSensitivity(w *World) (SensitivityResult, error) {
 	// (3) The IMAP-style application-view workload over a larger user
 	// population, correlated against the NomadLog workload across all 25
 	// collectors.
-	imapCfg := w.Cfg.Device
-	imapCfg.Users = w.Cfg.IMAPUsers
-	imapCfg.Days = w.Cfg.IMAPDays
-	imapTrace, err := mobility.GenerateDeviceTrace(w.Graph, w.Prefixes, imapCfg, rand.New(rand.NewSource(w.Cfg.Seed+6)))
+	imapEvents, err := imapMoveEvents(w)
 	if err != nil {
 		return res, err
 	}
-	imapEvents := mobility.IMAPMoveEvents(imapTrace, 2.0, rand.New(rand.NewSource(w.Cfg.Seed+7)))
 	res.IMAPEvents = len(imapEvents)
+	imapMoves := core.NewMoveSet(imapEvents)
 
 	all := append(append([]*bgp.Collector{}, w.RouteViews...), w.RIPE...)
 	type ratePair struct{ nomad, imap float64 }
@@ -253,8 +255,8 @@ func RunSensitivity(w *World) (SensitivityResult, error) {
 		defer w.Cfg.Obs.collectorDone()
 		fib := all[i].FIB
 		return ratePair{
-			nomad: core.DeviceUpdateStats(fib, events).Rate(),
-			imap:  core.DeviceUpdateStats(fib, imapEvents).Rate(),
+			nomad: moves.Stats(fib).Rate(),
+			imap:  imapMoves.Stats(fib).Rate(),
 		}
 	})
 	nomadRates := make([]float64, len(pairs))
@@ -269,6 +271,19 @@ func RunSensitivity(w *World) (SensitivityResult, error) {
 	}
 	res.Correlation = corr
 	return res, nil
+}
+
+// imapMoveEvents generates the §6.2.2 IMAP-style proxy workload: a larger
+// user population seen through an application's address log.
+func imapMoveEvents(w *World) ([]mobility.MoveEvent, error) {
+	imapCfg := w.Cfg.Device
+	imapCfg.Users = w.Cfg.IMAPUsers
+	imapCfg.Days = w.Cfg.IMAPDays
+	imapTrace, err := mobility.GenerateDeviceTrace(w.Graph, w.Prefixes, imapCfg, rand.New(rand.NewSource(w.Cfg.Seed+6)))
+	if err != nil {
+		return nil, err
+	}
+	return mobility.IMAPMoveEvents(imapTrace, 2.0, rand.New(rand.NewSource(w.Cfg.Seed+7))), nil
 }
 
 // Render prints the sensitivity readout.

@@ -9,6 +9,7 @@ import (
 
 	"locind/internal/bgp"
 	"locind/internal/cdn"
+	"locind/internal/core"
 	"locind/internal/mobility"
 )
 
@@ -158,6 +159,57 @@ func TestSensitivity(t *testing.T) {
 	}
 	t.Logf("sensitivity: maxSD=%.4f ripe(med=%.3f,max=%.3f) corr=%.2f",
 		res.MaxStdDev, res.RIPEMedian, res.RIPEMax, res.Correlation)
+}
+
+// TestMoveSetMatchesPerEvent pins the interned device path to the
+// per-event reference: at every RouteViews and RIPE collector, the batched
+// walk plus ID counting must give exactly DeviceUpdateStats' counts on
+// both the NomadLog and the IMAP events, and so must the per-day grouping
+// of RunSensitivity.
+func TestMoveSetMatchesPerEvent(t *testing.T) {
+	w := quickWorld(t)
+	nomadEvents := w.Devices.MoveEvents()
+	imapEvents, err := imapMoveEvents(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workloads := []struct {
+		name   string
+		events []mobility.MoveEvent
+	}{{"nomadlog", nomadEvents}, {"imap", imapEvents}}
+	for _, wl := range workloads {
+		ms := core.NewMoveSet(wl.events)
+		updates := 0
+		for _, c := range append(append([]*bgp.Collector{}, w.RouteViews...), w.RIPE...) {
+			want := core.DeviceUpdateStats(c.FIB, wl.events)
+			if got := ms.Stats(c.FIB); got != want {
+				t.Errorf("%s at %s: move set counts %+v, per-event %+v", wl.name, c.Name, got, want)
+			}
+			updates += want.Updates
+		}
+		if updates == 0 {
+			t.Errorf("%s: no updates at any collector, so the comparison checks nothing", wl.name)
+		}
+	}
+	ms := core.NewMoveSet(nomadEvents)
+	dayEvents := map[int][]mobility.MoveEvent{}
+	dayMoves := map[int][][2]int32{}
+	for i, e := range nomadEvents {
+		dayEvents[e.Day] = append(dayEvents[e.Day], e)
+		dayMoves[e.Day] = append(dayMoves[e.Day], ms.Moves[i])
+	}
+	if len(dayEvents) < 2 {
+		t.Fatalf("events span %d days; the per-day check needs several", len(dayEvents))
+	}
+	for _, c := range w.RouteViews {
+		ports := ms.Ports(c.FIB)
+		for day, evs := range dayEvents {
+			want := core.DeviceUpdateStats(c.FIB, evs)
+			if got := core.CountMoves(ports, dayMoves[day]); got != want {
+				t.Errorf("day %d at %s: move set counts %+v, per-event %+v", day, c.Name, got, want)
+			}
+		}
+	}
 }
 
 func TestFig9AndFig10(t *testing.T) {

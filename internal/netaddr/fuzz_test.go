@@ -1,11 +1,16 @@
 package netaddr
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // FuzzLPMLookup drives the radix trie with an arbitrary insert/remove
 // script and cross-checks every lookup against a naive linear scan over a
 // reference map: the trie must agree with the definition of longest-prefix
-// match on every script the fuzzer invents.
+// match on every script the fuzzer invents. The batched LookupSorted runs
+// over the same queries, sorted with duplicates kept, and must give every
+// index exactly one answer that agrees with the naive scan too.
 //
 // Script encoding: each 5-byte chunk is one operation — four address
 // octets, then a control byte whose value mod 33 is the prefix length and
@@ -25,6 +30,23 @@ func FuzzLPMLookup(f *testing.F) {
 		10, 0, 0, 128, 25,
 		10, 0, 0, 0, 8,
 		10, 0, 0, 129, 32,
+	})
+	// An unrouted address next to a default route: 0/0 and 99/8 come and
+	// go again, so 99.1.2.3 and 0.0.0.0 end unrouted under an unset root
+	// while the neighbouring 98/8 still routes.
+	f.Add([]byte{
+		0, 0, 0, 0, 0,
+		99, 1, 2, 3, 8,
+		0, 0, 0, 0, 0x80,
+		98, 0, 0, 0, 8,
+		99, 1, 2, 3, 0x80 | 8,
+	})
+	// A lone /32 among duplicate queries of itself and its neighbours.
+	f.Add([]byte{
+		7, 7, 7, 7, 32,
+		7, 7, 7, 7, 32,
+		7, 7, 7, 6, 31 | 0x80,
+		7, 7, 7, 8, 31 | 0x80,
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var tr Trie[int]
@@ -68,6 +90,23 @@ func FuzzLPMLookup(f *testing.F) {
 			v, ok := tr.Lookup(q)
 			if ok != wantOK || v != wantV {
 				t.Fatalf("Lookup(%v) = %d, %v; naive scan says %d, %v", q, v, ok, wantV, wantOK)
+			}
+		}
+		slices.Sort(queries)
+		seen := make([]int, len(queries))
+		tr.LookupSorted(queries, func(lo, hi int, v int, ok bool) {
+			for i := lo; i < hi; i++ {
+				seen[i]++
+				_, wantV, wantOK := naiveLPM(ref, queries[i])
+				if ok != wantOK || v != wantV {
+					t.Fatalf("LookupSorted answered %v with %d, %v; naive scan says %d, %v",
+						queries[i], v, ok, wantV, wantOK)
+				}
+			}
+		})
+		for i, n := range seen {
+			if n != 1 {
+				t.Fatalf("LookupSorted answered %v (index %d) %d times, want once", queries[i], i, n)
 			}
 		}
 	})

@@ -144,6 +144,70 @@ func (t *Trie[V]) Lookup(a Addr) (V, bool) {
 	return best, found
 }
 
+// LookupSorted is Lookup over a whole batch: addrs must be sorted
+// ascending (duplicates allowed), and fn receives consecutive runs
+// addrs[lo:hi] that share one longest match, with that match's value.
+// One recursive descent splits the slice on each bit and carries the
+// deepest set ancestor down, so each trie node is visited at most once per
+// batch instead of once per address, and every index is reported exactly
+// once.
+func (t *Trie[V]) LookupSorted(addrs []Addr, fn func(lo, hi int, v V, ok bool)) {
+	if len(addrs) == 0 {
+		return
+	}
+	if len(t.nodes) == 0 {
+		var zero V
+		fn(0, len(addrs), zero, false)
+		return
+	}
+	t.lookupSorted(0, 0, -1, addrs, 0, fn)
+}
+
+// lookupSorted resolves addrs (offset off in the caller's slice), which all
+// share node n's depth-bit path; best is the deepest set node above n, or
+// -1.
+func (t *Trie[V]) lookupSorted(n int32, depth int, best int32, addrs []Addr, off int, fn func(lo, hi int, v V, ok bool)) {
+	nd := &t.nodes[n]
+	if nd.set {
+		best = n
+	}
+	emit := func(lo, hi int) {
+		if best < 0 {
+			var zero V
+			fn(lo, hi, zero, false)
+			return
+		}
+		fn(lo, hi, t.nodes[best].val, true)
+	}
+	if depth == 32 || nd.child == [2]int32{} {
+		emit(off, off+len(addrs))
+		return
+	}
+	// The addresses agree on their first depth bits, so the ones with bit
+	// depth clear come first: binary-search the split.
+	bit := Addr(1) << (31 - depth)
+	k, hi := 0, len(addrs)
+	for k < hi {
+		mid := int(uint(k+hi) >> 1)
+		if addrs[mid]&bit == 0 {
+			k = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	for b, part := range [2][]Addr{addrs[:k], addrs[k:]} {
+		if len(part) == 0 {
+			continue
+		}
+		lo := off + b*k
+		if c := nd.child[b]; c != 0 {
+			t.lookupSorted(c, depth+1, best, part, lo, fn)
+		} else {
+			emit(lo, lo+len(part))
+		}
+	}
+}
+
 // LookupPrefix is like Lookup but also returns the matching prefix itself.
 func (t *Trie[V]) LookupPrefix(a Addr) (Prefix, V, bool) {
 	var bestV V

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -84,18 +85,18 @@ func (tc TraceContext) Encode() string {
 	return fmt.Sprintf("%016x-%016x", tc.TraceID, tc.SpanID)
 }
 
-// ParseTraceContext decodes the Encode form. Anything malformed — wrong
-// length, bad hex, zero IDs — returns ok=false; propagation is best-effort
-// and a mangled context must never fail a request.
+// ParseTraceContext decodes the Encode form: exactly two 16-hex-digit
+// halves joined by '-'. Anything else — wrong length, bad or padded hex,
+// a sign, zero IDs — returns ok=false; propagation is best-effort and a
+// mangled context must never fail a request.
 func ParseTraceContext(s string) (TraceContext, bool) {
 	if len(s) != 33 || s[16] != '-' {
 		return TraceContext{}, false
 	}
-	var tc TraceContext
-	if _, err := fmt.Sscanf(s, "%016x-%016x", &tc.TraceID, &tc.SpanID); err != nil {
-		return TraceContext{}, false
-	}
-	if !tc.Valid() {
+	trace, err1 := strconv.ParseUint(s[:16], 16, 64)
+	span, err2 := strconv.ParseUint(s[17:], 16, 64)
+	tc := TraceContext{TraceID: trace, SpanID: span}
+	if err1 != nil || err2 != nil || !tc.Valid() {
 		return TraceContext{}, false
 	}
 	return tc, true

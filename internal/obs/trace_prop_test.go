@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 )
@@ -69,6 +70,11 @@ func TestTraceContextRejectsMalformed(t *testing.T) {
 		"zzzzzzzzzzzzzzzz-0123456789abcdef",  // bad hex
 		"0000000000000000-0123456789abcdef",  // zero trace ID
 		"deadbeefcafef00d-0000000000000000",  // zero span ID
+		" 00000000000001a-0000000000000002",  // leading space in a half
+		"000000000000001a- 000000000000002",  // space after the separator
+		"+00000000000001a-0000000000000002",  // sign
+		"0x0000000000001a-0000000000000002",  // hex prefix
+		"000000000000001a-0x00000000000002",  // hex prefix in the span half
 	} {
 		if _, ok := ParseTraceContext(bad); ok {
 			t.Errorf("ParseTraceContext(%q) accepted malformed input", bad)
@@ -161,4 +167,38 @@ func TestRemoteSpanIDsDeterministic(t *testing.T) {
 	if c1 != c2 || s1 != s2 {
 		t.Fatalf("span IDs not deterministic: (%x,%x) vs (%x,%x)", c1, s1, c2, s2)
 	}
+}
+
+// FuzzParseTraceContext: no input panics the parser, and every accepted
+// input is canonical — it re-encodes to itself, hex case aside.
+func FuzzParseTraceContext(f *testing.F) {
+	for _, seed := range []string{
+		"deadbeefcafef00d-0123456789abcdef",
+		"DEADBEEFCAFEF00D-0123456789ABCDEF",
+		"",
+		"deadbeefcafef00d",
+		"deadbeefcafef00d_0123456789abcdef",
+		"deadbeefcafef00d-0123456789abcdefa",
+		"zzzzzzzzzzzzzzzz-0123456789abcdef",
+		"0000000000000000-0123456789abcdef",
+		" 00000000000001a-0000000000000002",
+		"0x0000000000001a-0000000000000002",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tc, ok := ParseTraceContext(s)
+		if !ok {
+			if tc != (TraceContext{}) {
+				t.Fatalf("ParseTraceContext(%q) rejected the input but returned %+v", s, tc)
+			}
+			return
+		}
+		if !tc.Valid() {
+			t.Fatalf("ParseTraceContext(%q) accepted an invalid context %+v", s, tc)
+		}
+		if enc := tc.Encode(); enc != strings.ToLower(s) {
+			t.Fatalf("ParseTraceContext(%q) accepted a non-canonical form; it re-encodes to %q", s, enc)
+		}
+	})
 }
