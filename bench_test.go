@@ -258,14 +258,6 @@ func BenchmarkFig11cParallel(b *testing.B) {
 	benchAt(b, 0, func(w *expt.World) { expt.RunFig11bc(w, cdn.Unpopular) })
 }
 
-func BenchmarkStrategyAblationSequential(b *testing.B) {
-	benchAt(b, 1, func(w *expt.World) { expt.RunStrategyAblation(w) })
-}
-
-func BenchmarkStrategyAblationParallel(b *testing.B) {
-	benchAt(b, 0, func(w *expt.World) { expt.RunStrategyAblation(w) })
-}
-
 func BenchmarkSensitivitySequential(b *testing.B) {
 	benchAt(b, 1, func(w *expt.World) {
 		if _, err := expt.RunSensitivity(w); err != nil {

@@ -7,7 +7,6 @@ import (
 	"locind/internal/cdn"
 	"locind/internal/mobility"
 	"locind/internal/netaddr"
-	"locind/internal/obs"
 )
 
 func TestMemoMatchesUnderlying(t *testing.T) {
@@ -61,25 +60,6 @@ func TestMemoConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-func TestMemoObserved(t *testing.T) {
-	r := fakeRouter(map[string]int{
-		"10.0.0.0/16": 1,
-		"20.0.0.0/16": 2,
-	})
-	ms := NewMemoMetrics(obs.NewRegistry())
-	a := netaddr.MustParseAddr("10.0.0.1")
-	m := NewMemoObserved(r, ms, a, a) // a duplicate counts once
-	if ms.Misses.Value() != 1 || ms.Hits.Value() != 0 {
-		t.Fatalf("after build: hits=%d misses=%d", ms.Hits.Value(), ms.Misses.Value())
-	}
-	m.Port(a)
-	m.Port(a)
-	m.Port(netaddr.MustParseAddr("20.0.0.1")) // outside the table
-	if ms.Misses.Value() != 2 || ms.Hits.Value() != 2 {
-		t.Fatalf("hits=%d misses=%d", ms.Hits.Value(), ms.Misses.Value())
-	}
 }
 
 // The fused single-walk evaluation must count exactly what three separate

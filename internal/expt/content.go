@@ -137,7 +137,7 @@ func collectorStrategyStats(w *World, tls []cdn.Timeline) []core.StrategyStats {
 	cols := w.RouteViews
 	addrs := distinctAddrs(tls)
 	memos := par.Map(w.Cfg.Parallel, len(cols), func(i int) *core.Memo {
-		return core.NewMemoObserved(cols[i].FIB, w.Cfg.Obs.memo(), addrs...)
+		return core.NewMemo(cols[i].FIB, addrs...)
 	})
 	shards := par.ShardsFor(len(tls), w.Cfg.Parallel)
 	prog := newCollectorProgress(len(cols), len(shards), w.Cfg.Obs.collectorDone)

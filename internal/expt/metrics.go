@@ -1,9 +1,6 @@
 package expt
 
-import (
-	"locind/internal/core"
-	"locind/internal/obs"
-)
+import "locind/internal/obs"
 
 // Metrics is the evaluation engine's observability surface, attached via
 // Config.Obs. Recording goes through nil-safe helpers, so the nil default
@@ -16,8 +13,6 @@ type Metrics struct {
 	CollectorsDone *obs.Counter
 	// Rows counts result rows produced (scrape deltas give rows/sec).
 	Rows *obs.Counter
-	// Memo aggregates route-table behaviour across every content-driver memo.
-	Memo *core.MemoMetrics
 }
 
 // NewMetrics registers the evaluation families on reg. A nil registry
@@ -26,7 +21,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		CollectorsDone: reg.Counter("locind_expt_collectors_done_total", "per-collector work units finished"),
 		Rows:           reg.Counter("locind_expt_rows_total", "result rows produced"),
-		Memo:           core.NewMemoMetrics(reg),
 	}
 }
 
@@ -40,12 +34,4 @@ func (m *Metrics) rows(n int) {
 	if m != nil {
 		m.Rows.Add(int64(n))
 	}
-}
-
-// memo returns the memo counters, nil when metrics are detached.
-func (m *Metrics) memo() *core.MemoMetrics {
-	if m == nil {
-		return nil
-	}
-	return m.Memo
 }

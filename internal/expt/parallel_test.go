@@ -6,9 +6,11 @@ import (
 	"sync"
 	"testing"
 
+	"locind/internal/bgp"
 	"locind/internal/cdn"
 	"locind/internal/core"
 	"locind/internal/mobility"
+	"locind/internal/netaddr"
 )
 
 // withParallel runs fn with the shared world pinned at the given worker
@@ -96,6 +98,38 @@ func TestFig11bcMatchesUnmemoizedReference(t *testing.T) {
 		if got.Flooding[i].Rate != fl {
 			t.Errorf("%s: flooding %v != reference %v", c.Name, got.Flooding[i].Rate, fl)
 		}
+	}
+}
+
+// countingLookup counts every lookup that reaches the FIB.
+type countingLookup struct {
+	fib   core.RouteLookup
+	calls int
+}
+
+func (c *countingLookup) Port(a netaddr.Addr) (int, bool) {
+	c.calls++
+	return c.fib.Port(a)
+}
+
+func (c *countingLookup) RouteFor(a netaddr.Addr) (bgp.Route, bool) {
+	c.calls++
+	return c.fib.RouteFor(a)
+}
+
+// The content drivers resolve each distinct address once per collector,
+// before the fan-out, and serve every later lookup from the table: the
+// "LPM lookups <= distinct x collectors" bound, met with equality. A table
+// that misses an address the walk touches falls through to the FIB and
+// fails the count.
+func TestFig11bMemoResolvesEachAddressOnce(t *testing.T) {
+	w := quickWorld(t)
+	popular, _ := w.TimelinesByClass()
+	addrs := distinctAddrs(popular)
+	fib := &countingLookup{fib: w.RouteViews[0].FIB}
+	core.ContentUpdateStatsAllFused(core.NewMemo(fib, addrs...), popular)
+	if fib.calls != len(addrs) {
+		t.Fatalf("FIB lookups = %d, want one per distinct address = %d", fib.calls, len(addrs))
 	}
 }
 

@@ -123,17 +123,6 @@ func NewClient(serverAddr string) *Client {
 	}
 }
 
-// BoundStaleCache caps the last-known-good cache at limit entries with
-// epoch-flush eviction, counting flushed entries into ctr (which may be
-// nil) — million-name runs must not grow the fallback map without limit.
-func (c *Client) BoundStaleCache(limit int, ctr *obs.Counter) {
-	c.cache.Bound(limit, ctr)
-}
-
-// StaleCacheEvictions reports how many cached bindings epoch flushes have
-// dropped.
-func (c *Client) StaleCacheEvictions() int64 { return c.cache.Evictions() }
-
 func (c *Client) policy(span *obs.Span) reliable.Policy {
 	return reliable.Policy{
 		MaxAttempts: c.Retries + 1,

@@ -155,6 +155,10 @@ func (v VV) Encode() string {
 }
 
 // ParseVV decodes the Encode form. The empty string is the empty history.
+// Only canonical encodings are accepted — origins strictly ascending,
+// counters at least 1, no leading zeros — so Encode(ParseVV(s)) == s for
+// every accepted s. A repeated origin would make Get and Sum disagree, and a
+// zero counter would encode differently from the equal vector without it.
 func ParseVV(s string) (VV, error) {
 	if s == "" {
 		return nil, nil
@@ -166,18 +170,31 @@ func ParseVV(s string) (VV, error) {
 		if !ok {
 			return nil, fmt.Errorf("cluster: bad vv entry %q", p)
 		}
-		origin, err := strconv.ParseUint(o, 10, 64)
+		origin, err := parseCanonicalUint(o)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: bad vv origin %q: %v", o, err)
 		}
-		ctr, err := strconv.ParseUint(c, 10, 64)
+		ctr, err := parseCanonicalUint(c)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: bad vv counter %q: %v", c, err)
 		}
+		if ctr == 0 {
+			return nil, fmt.Errorf("cluster: zero vv counter in %q", p)
+		}
+		if n := len(out); n > 0 && origin <= out[n-1].Origin {
+			return nil, fmt.Errorf("cluster: vv origin %d not above %d", origin, out[n-1].Origin)
+		}
 		out = append(out, VVEntry{Origin: origin, Ctr: ctr})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Origin < out[j].Origin })
 	return out, nil
+}
+
+// parseCanonicalUint parses a decimal as strconv.FormatUint renders it.
+func parseCanonicalUint(s string) (uint64, error) {
+	if len(s) > 1 && s[0] == '0' {
+		return 0, fmt.Errorf("leading zero")
+	}
+	return strconv.ParseUint(s, 10, 64)
 }
 
 // Supersedes reports whether a record carrying v should replace one

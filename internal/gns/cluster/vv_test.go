@@ -73,11 +73,35 @@ func TestVVEncodeParseRoundTrip(t *testing.T) {
 			t.Fatalf("round trip %q -> %v", v.Encode(), got)
 		}
 	}
-	for _, bad := range []string{"x", "1:", ":2", "1:2,", "1;2", "-1:2"} {
+	for _, bad := range []string{
+		"x", "1:", ":2", "1:2,", "1;2", "-1:2", "+1:2",
+		"1:5,1:3", // repeated origin: Get(1)=5 but Sum()=8
+		"2:1,1:1", // origins out of order
+		"1:0",     // zero counter: Equal to the empty history, encodes differently
+		"01:2",    // leading zeros re-encode differently
+		"1:02",
+	} {
 		if _, err := ParseVV(bad); err == nil {
 			t.Errorf("ParseVV(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseVV checks that ParseVV never panics and that every string it
+// accepts is already canonical: it re-encodes byte-for-byte.
+func FuzzParseVV(f *testing.F) {
+	for _, s := range []string{"", "1:1", "1:9,1099511627776:2", "0:1", "1:5,1:3", "1:0", "01:2", "x"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		v, err := ParseVV(s)
+		if err != nil {
+			return
+		}
+		if enc := v.Encode(); enc != s {
+			t.Fatalf("ParseVV(%q) re-encodes as %q", s, enc)
+		}
+	})
 }
 
 func TestVVSumMonotone(t *testing.T) {

@@ -67,6 +67,16 @@ func defaultSoakFaults() faultnet.StreamFaults {
 	}
 }
 
+// ingestReadHeaderTimeout bounds how long an uploader may take to send its
+// request headers, so a stalled connection cannot pin a server goroutine.
+// The chaos profile's injected stalls are milliseconds, far below it.
+const ingestReadHeaderTimeout = 10 * time.Second
+
+// newIngestServer wraps the soak's ingest handler in an http.Server.
+func newIngestServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: ingestReadHeaderTimeout}
+}
+
 // SoakReport is RunSoak's outcome. Digest, Records, Batches, Events, and
 // Devices are deterministic for a seed; fault and retry counts are not
 // (they depend on connection interleaving) and are reported for color only.
@@ -187,7 +197,7 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 	if cfg.NoFaults {
 		faults = faultnet.StreamFaults{}
 	}
-	hs := &http.Server{Handler: srv}
+	hs := newIngestServer(srv)
 	go hs.Serve(faultnet.WrapListener(ln, env, faults)) //lint:allow errflow server dies with the soak
 	defer hs.Close()                                    //lint:allow errflow best-effort teardown
 	base := "http://" + ln.Addr().String()

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
+	"net/http"
 	"strings"
 	"testing"
 )
@@ -63,4 +64,13 @@ func soakDigestLine(out string) string {
 		}
 	}
 	return ""
+}
+
+// The soak's ingest server bounds header reads, so a stalled uploader
+// cannot hold a server goroutine forever.
+func TestIngestServerSetsReadHeaderTimeout(t *testing.T) {
+	hs := newIngestServer(http.NotFoundHandler())
+	if got := hs.ReadHeaderTimeout; got != ingestReadHeaderTimeout || got <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", got, ingestReadHeaderTimeout)
+	}
 }

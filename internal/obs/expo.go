@@ -88,7 +88,7 @@ func formatFloat(f float64) string {
 }
 
 // Snapshot returns the registry as a plain map for programmatic inspection
-// (the expvar bridge and BENCH_*.json emitters use this). Histograms report
+// (the expvar bridge and the phase profiler use this). Histograms report
 // count and sum under derived keys.
 func (r *Registry) Snapshot() map[string]any {
 	out := map[string]any{}

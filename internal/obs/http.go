@@ -9,6 +9,7 @@ import (
 	"net/http/pprof"
 	"strings"
 	"sync"
+	"time"
 )
 
 // HandlerOpts selects which introspection surfaces NewHandler mounts; any
@@ -127,6 +128,10 @@ func NewHandler(o HandlerOpts) http.Handler {
 	return mux
 }
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a stalled connection cannot pin an endpoint goroutine.
+const readHeaderTimeout = 10 * time.Second
+
 // Server is a bound introspection endpoint.
 type Server struct {
 	ln  net.Listener
@@ -145,7 +150,7 @@ func Serve(ctx context.Context, addr string, h http.Handler) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{ln: ln, srv: &http.Server{Handler: h}, closed: make(chan struct{})}
+	s := &Server{ln: ln, srv: &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}, closed: make(chan struct{})}
 	go s.srv.Serve(ln) //nolint:errcheck // Serve always returns ErrServerClosed after Close
 	go func() {
 		select {

@@ -78,3 +78,16 @@ func TestIntrospectionEndpoint(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 }
+
+// The endpoint bounds header reads, so a client that connects and never
+// finishes its request headers cannot hold a server goroutine forever.
+func TestServeSetsReadHeaderTimeout(t *testing.T) {
+	srv, err := Serve(context.Background(), "127.0.0.1:0", http.NotFoundHandler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if got := srv.srv.ReadHeaderTimeout; got != readHeaderTimeout || got <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", got, readHeaderTimeout)
+	}
+}

@@ -9,8 +9,7 @@ import (
 
 func TestProfilerPhasesAndCounterDeltas(t *testing.T) {
 	reg := NewRegistry()
-	hits := reg.Counter("locind_memo_hits_total", "memo hits")
-	misses := reg.Counter("locind_memo_misses_total", "memo misses")
+	lookups := reg.Counter("locind_test_lookups_total", "lookups")
 	rows := reg.Counter("locind_rows_total", "rows")
 
 	p := NewProfiler(reg)
@@ -22,8 +21,7 @@ func TestProfilerPhasesAndCounterDeltas(t *testing.T) {
 	ph.End()
 
 	ph = p.Begin("fig8")
-	hits.Add(30)
-	misses.Add(10)
+	lookups.Add(40)
 	ph.End()
 
 	phases := p.Phases()
@@ -36,11 +34,11 @@ func TestProfilerPhasesAndCounterDeltas(t *testing.T) {
 	if _, ok := phases[1].Counters["locind_rows_total"]; ok {
 		t.Fatal("fig8 must not see build-world's counter increments")
 	}
-	if r := phases[1].MemoHitRate(); r != 0.75 {
-		t.Fatalf("fig8 memo hit rate = %v, want 0.75", r)
+	if d := phases[1].Counters["locind_test_lookups_total"]; d != 40 {
+		t.Fatalf("fig8 lookups delta = %d, want 40", d)
 	}
-	if r := phases[0].MemoHitRate(); r != -1 {
-		t.Fatalf("phase without memo traffic must report -1, got %v", r)
+	if _, ok := phases[0].Counters["locind_test_lookups_total"]; ok {
+		t.Fatal("build-world must not see fig8's counter increments")
 	}
 	for _, ps := range phases {
 		if ps.Wall <= 0 {
@@ -76,16 +74,16 @@ func TestProfilerNilSafe(t *testing.T) {
 
 func TestProfilerReportRendering(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("locind_memo_hits_total", "memo hits")
+	reg.Counter("locind_test_lookups_total", "lookups")
 	p := NewProfiler(reg)
 	ph := p.Begin("fig11b")
-	reg.Counter("locind_memo_hits_total", "memo hits").Add(5)
+	reg.Counter("locind_test_lookups_total", "lookups").Add(5)
 	ph.End()
 
 	var md strings.Builder
 	p.WriteReport(&md)
 	report := md.String()
-	for _, want := range []string{"# RUNREPORT", "| fig11b |", "locind_memo_hits_total | 5"} {
+	for _, want := range []string{"# RUNREPORT", "| fig11b |", "locind_test_lookups_total | 5"} {
 		if !strings.Contains(report, want) {
 			t.Fatalf("report missing %q:\n%s", want, report)
 		}
@@ -99,7 +97,7 @@ func TestProfilerReportRendering(t *testing.T) {
 	if err := json.Unmarshal([]byte(js.String()), &doc); err != nil {
 		t.Fatalf("JSON artifact invalid: %v\n%s", err, js.String())
 	}
-	if len(doc.Phases) != 1 || doc.Phases[0].Counters["locind_memo_hits_total"] != 5 {
+	if len(doc.Phases) != 1 || doc.Phases[0].Counters["locind_test_lookups_total"] != 5 {
 		t.Fatalf("JSON artifact wrong: %+v", doc.Phases)
 	}
 
